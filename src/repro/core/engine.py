@@ -55,7 +55,16 @@ class Parallel:
     output:
         A writable text stream for job output (e.g. ``sys.stdout``) or a
         callback ``(JobResult, formatted_text) -> None``; None collects
-        results silently.
+        results silently.  The stream is flushed after each job's output.
+        The callback may run on a worker thread rather than the caller's
+        (a worker delivers while the engine waits on a live input), but
+        never two calls at once; an exception it raises fails the run and
+        is re-raised by :meth:`run`.
+    progress:
+        A callback receiving a :class:`~repro.core.progress.Progress`
+        after completions are handled.  Like ``output``, it may run on a
+        worker thread, never two calls at once, and an exception it
+        raises is re-raised by :meth:`run`.
     **option_fields:
         Any :class:`~repro.core.options.Options` field (``jobs``,
         ``keep_order``, ``halt``, ``retries``, ...).
@@ -235,12 +244,18 @@ class Parallel:
             return None
         if callable(out) and not hasattr(out, "write"):
             return out
+        flush = getattr(out, "flush", None)
 
         def emit(result: JobResult, text: str) -> None:
             if text:
                 out.write(text)
                 if not text.endswith("\n"):
                     out.write("\n")
+                # Hand each job's output on when it finishes, as GNU
+                # Parallel does: a block-buffered pipe would otherwise hold
+                # it while the run waits on a live input (``tail -f q |``).
+                if flush is not None:
+                    flush()
             if result.stderr and out is sys.stdout:
                 sys.stderr.write(result.stderr)
 

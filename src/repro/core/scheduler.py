@@ -21,11 +21,21 @@ previous design) put ~100 µs of thread start/join on the per-job hot
 path, which dominates exactly the single-node launch-rate regime the
 paper's Fig. 3 stress test measures.
 
-Ordering invariant (retry fairness): a worker posts its completion and
-the *scheduler* releases the job's slot only after the completion has
-been fully handled.  A free slot therefore proves the completion that
-freed it — including any retry re-queue — has been processed, so retries
-can never starve behind a stream of fresh input racing freed slots.
+Who delivers: a completion is handled (joblog, results, output
+sequencing and emit, slot release, retry re-queue, halt, progress) by
+whichever thread holds the run's delivery lock.  The coordinator holds it
+except while it blocks on the input pull or the ``--delay`` sleep.  A
+worker that posts a completion while the lock is free — the coordinator
+is waiting on input — delivers it on the spot, so a live source
+(``QueueSource``, ``tail -f q | pyparallel``) never holds a finished job
+until its next item arrives.  On a batch input the coordinator delivers
+nearly everything itself.  Either way only one thread delivers at a time.
+
+Ordering invariant (retry fairness): a job's slot is released only after
+its completion has been fully handled.  A free slot therefore proves the
+completion that freed it — including any retry re-queue — has been
+processed, so retries can never starve behind a stream of fresh input
+racing freed slots.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.core.backends.base import Backend
 from repro.core.inputs import ArgGroup, ceil_div, normalize, shuffled
@@ -59,6 +69,8 @@ __all__ = ["run_scheduler"]
 
 #: Sentinel telling a pool worker to exit its take-run-post loop.
 _STOP = None
+
+_T = TypeVar("_T")
 
 #: Initial --load/--memfree poll interval; doubles up to
 #: ``Options.throttle_poll_max``.
@@ -166,9 +178,11 @@ class _RetryQueue:
 class _WorkerPool:
     """Persistent worker threads fed by an in-memory dispatch queue.
 
-    Workers loop ``take (job, slot) → run_one → post completion``; none
-    of the per-job thread create/start/join cost of the previous
-    thread-per-job design remains.  The pool grows lazily with observed
+    Workers loop ``take (job, slot) → run_one → post completion``, then
+    call ``deliver`` (if given) to handle posted completions when no
+    other thread is delivering.  None of the per-job thread
+    create/start/join cost of the previous thread-per-job design
+    remains.  The pool grows lazily with observed
     concurrency (slot-gating bounds in-flight jobs, so it can never
     exceed ``capacity``) unless ``prestart`` asks for all workers up
     front.  Threads are daemons: a worker wedged inside a backend cannot
@@ -181,10 +195,12 @@ class _WorkerPool:
         run_one: Callable[[Job, int], JobResult],
         done_q: "queue.SimpleQueue",
         prestart: bool = False,
+        deliver: Optional[Callable[[], None]] = None,
     ):
         self.capacity = capacity
         self._run_one = run_one
         self._done_q = done_q
+        self._deliver = deliver
         self._dispatch_q: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         if prestart:
@@ -217,6 +233,7 @@ class _WorkerPool:
         thread.start()
 
     def _worker_loop(self) -> None:
+        deliver = self._deliver
         while True:
             item = self._dispatch_q.get()
             if item is _STOP:
@@ -224,6 +241,8 @@ class _WorkerPool:
             job, slot = item
             result = self._run_one(job, slot)
             self._done_q.put((job, slot, result))
+            if deliver is not None:
+                deliver()
 
     def shutdown(self, deadline: float) -> int:
         """Stop workers, joining until ``deadline`` (monotonic seconds).
@@ -440,7 +459,58 @@ def run_scheduler(
             )
         return result
 
-    pool = _WorkerPool(jobs_cap, run_one, done_q, prestart=options.pool_prestart)
+    # Delivery lock: only its holder handles completions (reap/drain), so
+    # completion handling stays single-threaded whichever thread runs it.
+    # The coordinator holds it except inside unlocked(); a worker that
+    # posts a completion while it is free delivers the completion itself.
+    deliver_lock = threading.Lock()
+    deliver_lock.acquire()
+    #: First exception raised while a worker delivered; the coordinator
+    #: re-raises it as soon as it takes the lock back.
+    delivery_error: Optional[BaseException] = None
+
+    def deliver_posted() -> None:
+        """Handle posted completions now, unless another thread delivers.
+
+        Runs on a worker after each post and on the coordinator just after
+        it lets the lock go.  Every holder re-checks ``done_q`` after its
+        release, so a completion posted while another thread held the lock
+        is never stranded.
+        """
+        nonlocal delivery_error
+        while not done_q.empty() and deliver_lock.acquire(blocking=False):
+            try:
+                if delivery_error is not None:
+                    return
+                drain()
+            except BaseException as exc:  # raising emit/progress/joblog
+                delivery_error = exc
+                return
+            finally:
+                deliver_lock.release()
+
+    def unlocked(call: Callable[..., _T], *args: object) -> _T:
+        """Run one of the coordinator's blocking calls without the lock.
+
+        The input pull and the ``--delay`` sleep are the only calls that can
+        block the coordinator outside ``done_q``; while it waits in them,
+        workers deliver finished jobs instead of leaving them held.
+        """
+        drain()
+        deliver_lock.release()
+        try:
+            deliver_posted()
+            value = call(*args)
+        finally:
+            deliver_lock.acquire()
+        if delivery_error is not None:
+            raise delivery_error
+        return value
+
+    pool = _WorkerPool(
+        jobs_cap, run_one, done_q,
+        prestart=options.pool_prestart, deliver=deliver_posted,
+    )
     if tracer is not None:
         tracer.bind_gauges(
             queue_depth=lambda: pool.queue_depth,
@@ -469,7 +539,10 @@ def run_scheduler(
 
     def pull_fresh() -> Optional[Job]:
         """Pull the next fresh job off the input stream (None = exhausted)."""
-        for args in groups:
+        while True:
+            args = unlocked(next, groups, None)
+            if args is None:
+                return None
             seq = next(seq_counter)
             if seq in skip:
                 summary.n_skipped += 1
@@ -478,7 +551,6 @@ def run_scheduler(
             if tracer is not None:
                 tracer.job_submitted(seq)
             return Job(seq=seq, args=args)
-        return None
 
     # --stage-ahead: keep up to N not-yet-dispatchable jobs pulled from
     # the input and handed to the backend's staging lane, so their
@@ -600,94 +672,101 @@ def run_scheduler(
             reap(timeout=delay)
             delay = min(delay * 2.0, options.throttle_poll_max)
 
-    pending: Optional[Job] = next_job()
+    try:
+        pending: Optional[Job] = next_job()
 
-    while pending is not None or active > 0 or retry_q:
-        drain()
-        can_dispatch = (
-            pending is not None
-            and not halted_soon
-            and not halt.triggered
-        )
-        if can_dispatch:
-            slot = slots.acquire(blocking=False)
-            if slot is None:
-                # All slots busy: wait for a completion, then loop.
-                reap()
-                continue
-            # Pace dispatches per --delay and throttle on --load/--memfree.
-            if options.delay > 0:
-                gap = time.time() - last_dispatch
-                if gap < options.delay:
-                    time.sleep(options.delay - gap)
-            if throttled:
-                wait_for_throttle()
-                if halted_soon or halt.triggered:
-                    slots.release(slot)  # halt fired while stalled: no new work
+        while pending is not None or active > 0 or retry_q:
+            drain()
+            can_dispatch = (
+                pending is not None
+                and not halted_soon
+                and not halt.triggered
+            )
+            if can_dispatch:
+                slot = slots.acquire(blocking=False)
+                if slot is None:
+                    # All slots busy: wait for a completion, then loop.
+                    reap()
                     continue
-            # Retries outrank fresh input at every dispatch point (a failed
-            # job must not starve behind a stream of new work).
-            ready_retry = retry_q.pop_ready(time.time())
-            if ready_retry is not None:
-                job = ready_retry
-            else:
-                job, pending = pending, None
-            job.attempt += 1
-            if tracer is not None:
-                tracer.attempt_started(job.seq, job.attempt, slot)
-            if options.pipe_mode and job.stdin_data is None:
-                job.stdin_data = job.args[0]
-                job.args = (f"<block {job.seq}>",)
-            job.command = describe(job.args, job.seq, slot)
-            if options.linebuffer:
-                job.stream = sequencer.stream_for(job, slot)
-            job.state = JobState.RUNNING
-            last_dispatch = time.time()
-            summary.n_dispatched += 1
-            if options.dry_run:
-                slots.release(slot)
-                now = time.time()
-                result = JobResult(
-                    seq=job.seq, args=job.args, command=job.command,
-                    exit_code=0, start_time=now, end_time=now, slot=slot,
-                    host=backend.host, attempt=job.attempt,
-                    state=JobState.SUCCEEDED, stdout=job.command + "\n",
-                )
-                _handle_completion(
-                    job, result, options, halt, retry_q, summary,
-                    sequencer, joblog, results_writer, dry_run=True,
-                    tracer=tracer,
-                )
-                notify_progress()
-            else:
-                active += 1
-                in_flight[job.seq] = job
-                # Dispatch is recorded before the queue put: a worker may
-                # pick the job up (and stamp RUNNING) instantly.
+                # Pace dispatches per --delay and throttle on --load/--memfree.
+                if options.delay > 0:
+                    gap = time.time() - last_dispatch
+                    if gap < options.delay:
+                        unlocked(time.sleep, options.delay - gap)
+                if throttled:
+                    wait_for_throttle()
+                    if halted_soon or halt.triggered:
+                        slots.release(slot)  # halt fired while stalled: no new work
+                        continue
+                # Retries outrank fresh input at every dispatch point (a failed
+                # job must not starve behind a stream of new work).
+                ready_retry = retry_q.pop_ready(time.time())
+                if ready_retry is not None:
+                    job = ready_retry
+                else:
+                    job, pending = pending, None
+                job.attempt += 1
                 if tracer is not None:
-                    tracer.job_dispatched(job.seq, job.attempt, slot)
-                pool.submit(job, slot, active)
-            if pending is None:
-                pending = next_job()
-            continue
+                    tracer.attempt_started(job.seq, job.attempt, slot)
+                if options.pipe_mode and job.stdin_data is None:
+                    job.stdin_data = job.args[0]
+                    job.args = (f"<block {job.seq}>",)
+                job.command = describe(job.args, job.seq, slot)
+                if options.linebuffer:
+                    job.stream = sequencer.stream_for(job, slot)
+                job.state = JobState.RUNNING
+                last_dispatch = time.time()
+                summary.n_dispatched += 1
+                if options.dry_run:
+                    slots.release(slot)
+                    now = time.time()
+                    result = JobResult(
+                        seq=job.seq, args=job.args, command=job.command,
+                        exit_code=0, start_time=now, end_time=now, slot=slot,
+                        host=backend.host, attempt=job.attempt,
+                        state=JobState.SUCCEEDED, stdout=job.command + "\n",
+                    )
+                    _handle_completion(
+                        job, result, options, halt, retry_q, summary,
+                        sequencer, joblog, results_writer, dry_run=True,
+                        tracer=tracer,
+                    )
+                    notify_progress()
+                else:
+                    active += 1
+                    in_flight[job.seq] = job
+                    # Dispatch is recorded before the queue put: a worker may
+                    # pick the job up (and stamp RUNNING) instantly.
+                    if tracer is not None:
+                        tracer.job_dispatched(job.seq, job.attempt, slot)
+                    pool.submit(job, slot, active)
+                if pending is None:
+                    pending = next_job()
+                continue
 
-        if active > 0:
-            if not reap(timeout=halt_wait()):
-                break  # halt grace expired: abandon stragglers
-            if pending is None and not halted_soon:
+            if active > 0:
+                if not reap(timeout=halt_wait()):
+                    break  # halt grace expired: abandon stragglers
+                if pending is None and not halted_soon:
+                    pending = retry_q.pop_ready(time.time())
+                continue
+
+            if halted_soon or halt.triggered:
+                break  # input/retries remain but we must not start them
+
+            if pending is None and retry_q:
+                # Only backing-off retries remain: sleep out the earliest delay.
+                time.sleep(max(0.0, retry_q.earliest_at() - time.time()))
                 pending = retry_q.pop_ready(time.time())
-            continue
+                continue
 
-        if halted_soon or halt.triggered:
-            break  # input/retries remain but we must not start them
-
-        if pending is None and retry_q:
-            # Only backing-off retries remain: sleep out the earliest delay.
-            time.sleep(max(0.0, retry_q.earliest_at() - time.time()))
-            pending = retry_q.pop_ready(time.time())
-            continue
-
-        break
+            break
+    except BaseException:
+        # A raising input source or emit/progress callback aborts the run;
+        # stop the idle workers so none outlives it.  The coordinator keeps
+        # the delivery lock, so a late worker cannot deliver either.
+        pool.shutdown(time.monotonic() + 0.5)
+        raise
 
     summary.halted = halt.triggered
     summary.halt_reason = halt.reason
