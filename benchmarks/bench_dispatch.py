@@ -9,17 +9,7 @@ engine — the metric the paper's low-overhead claim rests on — for:
   the observability subsystem's overhead bound (must stay within 10% of
   the untraced rate);
 * ``subprocess``: real ``/bin/true`` jobs (fork+exec included) through
-  the default spawn path (posix_spawn where supported);
-* ``subprocess_popen``: the same workload forced onto the Popen
-  reference path (``--spawn-path popen``);
-* ``subprocess_sharded``: sharded dispatch (``--dispatchers N``) pinned
-  to per-message frames (``--rpc-batch 1`` — the pre-amortization wire
-  shape, kept as the regression reference);
-* ``subprocess_sharded_batched``: the same sharded run with the batched
-  control plane (``--rpc-batch auto``: frame coalescing + template
-  interning — the production configuration);
-* ``control_plane_frames``: frame-codec record round-trips/s vs the
-  per-message pickle baseline it replaced;
+  the engine's one local spawn path;
 * ``spawn_ceiling``: a raw serial posix_spawn+waitpid loop — the
   kernel's process-creation ceiling the subprocess rates are bounded by;
 * ``template``: per-job command-render cost (hot-path microcost).
@@ -93,103 +83,18 @@ def bench_callable_traced(n: int = 2000, jobs: int = 8, repeats: int = 5) -> dic
             "jobs_per_s_best": max(rates)}
 
 
-def bench_subprocess(n: int = 300, jobs: int = 8, repeats: int = 3,
-                     spawn_path: str = "auto", dispatchers: int = 1,
-                     rpc_batch=None) -> dict:
-    """Jobs/s launching real /bin/true subprocesses.
-
-    ``spawn_path`` selects the backend's launch mechanism: ``"auto"``
-    resolves to the posix_spawn fast path where supported, ``"popen"``
-    forces the subprocess.Popen reference path — benched separately so a
-    regression in either path is visible on its own.  ``dispatchers`` > 1
-    shards the dispatch loop over that many spawner worker processes.
-    ``rpc_batch`` sets the control-plane frame cap for the sharded path:
-    ``1`` pins the per-message wire shape (the ``subprocess_sharded``
-    variant, PR6's configuration), ``"auto"`` enables frame coalescing
-    and template interning (``subprocess_sharded_batched``).
-    """
-    kwargs = {}
-    if rpc_batch is not None:
-        kwargs["rpc_batch"] = rpc_batch
+def bench_subprocess(n: int = 300, jobs: int = 8, repeats: int = 3) -> dict:
+    """Jobs/s launching real /bin/true subprocesses."""
     rates = []
-    rpc_stats = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        summary = Parallel("true # {}", jobs=jobs, spawn_path=spawn_path,
-                           dispatchers=dispatchers, **kwargs).run(range(n))
+        summary = Parallel("true # {}", jobs=jobs).run(range(n))
         dt = time.perf_counter() - t0
         assert summary.n_succeeded == n, summary.n_failed
         rates.append(n / dt)
-        rpc_stats = summary.rpc or None
-    out = {"n": n, "jobs": jobs, "repeats": repeats,
-           "spawn_path": spawn_path, "dispatchers": dispatchers,
-           "jobs_per_s": statistics.median(rates),
-           "jobs_per_s_best": max(rates)}
-    if rpc_batch is not None:
-        out["rpc_batch"] = rpc_batch
-    if rpc_stats:
-        # Frame accounting from the last repeat: how much the control
-        # plane actually amortized (jobs_per_frame 1.0 = no coalescing).
-        out["rpc"] = rpc_stats
-    return out
-
-
-def bench_control_plane_frames(n: int = 20_000, repeats: int = 5) -> dict:
-    """Frame-codec throughput: packed records/s vs the pickle baseline.
-
-    The sharded control plane's hot path — pack one spawn record, frame
-    it, parse it back; pack one result record, frame it, parse it back —
-    measured per record round-trip, with the per-message pickle
-    ``dumps``/``loads`` it replaced as the in-file baseline.
-    """
-    from repro.core.backends.pool import (
-        FK_RESULT,
-        FK_SPAWN,
-        iter_result_records,
-        iter_spawn_records,
-        pack_frame,
-        pack_result_record,
-        pack_spawn_record,
-    )
-
-    command = "sh -c 'gzip /data/in/chunk-000123.bin'"
-    out_blob = b"x" * 64
-
-    def frame_pass() -> float:
-        t0 = time.perf_counter()
-        for i in range(n):
-            f = pack_frame(
-                FK_SPAWN, [pack_spawn_record(i, i, 3, command=command)]
-            )
-            for _rec in iter_spawn_records(f):
-                pass
-            f = pack_frame(FK_RESULT, [pack_result_record(
-                i, 0, out_blob, b"", 1.0, 2.0, 0.001, 4242)])
-            for _rec in iter_result_records(f):
-                pass
-        # Each iteration round-trips one spawn + one result record.
-        return 2 * n / (time.perf_counter() - t0)
-
-    def pickle_pass() -> float:
-        import pickle
-
-        t0 = time.perf_counter()
-        for i in range(n):
-            msg = pickle.dumps(("spawn", i, command), protocol=-1)
-            pickle.loads(msg)
-            msg = pickle.dumps(
-                ("done", i, 0, out_blob, b"", 1.0, 2.0, 0.001, 4242),
-                protocol=-1,
-            )
-            pickle.loads(msg)
-        return 2 * n / (time.perf_counter() - t0)
-
-    framed = [frame_pass() for _ in range(repeats)]
-    pickled = [pickle_pass() for _ in range(repeats)]
-    return {"n": n, "repeats": repeats,
-            "records_per_s": statistics.median(framed),
-            "records_per_s_best": max(framed),
-            "pickle_records_per_s": statistics.median(pickled)}
+    return {"n": n, "jobs": jobs, "repeats": repeats,
+            "jobs_per_s": statistics.median(rates),
+            "jobs_per_s_best": max(rates)}
 
 
 def _serial_spawn_loop(n: int) -> float:
@@ -228,9 +133,7 @@ def bench_spawn_ceiling(n: int = 400, repeats: int = 3) -> dict:
     a one-shot probe made the denominator the noisiest number in the
     file.
     """
-    from repro.core.backends.spawn import spawn_supported
-
-    if not spawn_supported():
+    if not hasattr(os, "posix_spawn"):
         return {"n": 0, "jobs_per_s": 0.0, "jobs_per_s_best": 0.0,
                 "supported": False}
     rates = [_serial_spawn_loop(n) for _ in range(repeats)]
@@ -253,9 +156,7 @@ def bench_fork_contention(n: int = 300, workers=(1, 2, 4),
     """
     import multiprocessing
 
-    from repro.core.backends.spawn import spawn_supported
-
-    if not spawn_supported():
+    if not hasattr(os, "posix_spawn"):
         return {"supported": False, "curve": {}}
 
     def worker(count, q):
@@ -336,24 +237,11 @@ def main(argv=None) -> int:
                     help="smaller problem sizes (CI smoke run)")
     ns = ap.parse_args(argv)
 
-    # Shard count for the sharded variant: one dispatcher per vCPU is
-    # the useful ceiling; 2 minimum so the variant exercises sharding
-    # even where it cannot win (the threshold gate skips 1-vCPU boxes).
-    n_disp = min(4, max(2, os.cpu_count() or 1))
     if ns.quick:
         results = {
             "callable": bench_callable(n=400, repeats=3),
             "callable_traced": bench_callable_traced(n=400, repeats=3),
             "subprocess": bench_subprocess(n=100, repeats=2),
-            "subprocess_popen": bench_subprocess(n=100, repeats=2,
-                                                 spawn_path="popen"),
-            "subprocess_sharded": bench_subprocess(n=100, repeats=2,
-                                                   dispatchers=n_disp,
-                                                   rpc_batch=1),
-            "subprocess_sharded_batched": bench_subprocess(
-                n=100, repeats=2, dispatchers=n_disp, rpc_batch="auto"),
-            "control_plane_frames": bench_control_plane_frames(
-                n=5_000, repeats=3),
             "spawn_ceiling": bench_spawn_ceiling(n=150, repeats=2),
             "fork_contention": bench_fork_contention(n=100, repeats=2),
             "remote_local": bench_remote_local_transport(n=80, repeats=2),
@@ -364,12 +252,6 @@ def main(argv=None) -> int:
             "callable": bench_callable(),
             "callable_traced": bench_callable_traced(),
             "subprocess": bench_subprocess(),
-            "subprocess_popen": bench_subprocess(spawn_path="popen"),
-            "subprocess_sharded": bench_subprocess(dispatchers=n_disp,
-                                                   rpc_batch=1),
-            "subprocess_sharded_batched": bench_subprocess(
-                dispatchers=n_disp, rpc_batch="auto"),
-            "control_plane_frames": bench_control_plane_frames(),
             "spawn_ceiling": bench_spawn_ceiling(),
             "fork_contention": bench_fork_contention(),
             "remote_local": bench_remote_local_transport(),
@@ -384,7 +266,6 @@ def main(argv=None) -> int:
     }
     for name, r in results.items():
         rate = (r.get("jobs_per_s") or r.get("renders_per_s")
-                or r.get("records_per_s")
                 or r.get("peak_aggregate_jobs_per_s") or 0.0)
         print(f"{ns.label:>8s}  {name:<18s} {rate:12.1f} /s")
     if ns.out:

@@ -8,6 +8,7 @@ scheduler owns all concurrency; backends only know how to run one job.
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 from repro.core.job import Job, JobResult
 from repro.core.options import Options
@@ -20,6 +21,10 @@ class Backend(abc.ABC):
 
     #: Reported in joblogs and results as the execution host.
     host: str = "local"
+
+    #: Concurrency the backend itself fixes (a host roster's total slots);
+    #: None = the scheduler's ``-j`` applies unchanged.
+    total_slots: Optional[int] = None
 
     #: Observability hook (a :class:`repro.obs.RunTracer`); None when the
     #: run is not being traced.  Backends emit point events through it
@@ -49,6 +54,17 @@ class Backend(abc.ABC):
         process pools — so nothing constant is recomputed on the per-job
         hot path.  Default: nothing.
         """
+
+    def prefetch_job(self, job: Job, options: Options) -> None:
+        """Start ``job``'s stage-in ahead of its slot (``--stage-ahead``).
+
+        Called by the scheduler for jobs it has pulled from the input but
+        cannot dispatch yet.  Default: nothing to stage.
+        """
+
+    def staging_stats(self) -> dict:
+        """Data-plane counters for the run summary; empty when none."""
+        return {}
 
     def cancel_all(self) -> None:
         """Best-effort termination of everything in flight (``--halt now``)."""

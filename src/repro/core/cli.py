@@ -116,27 +116,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    dest="linebuffer",
                    help="stream each job's output line-by-line as it is "
                         "produced (lines from different jobs may interleave)")
-    # Engine extension: which process-spawn implementation the local
-    # backend uses (posix_spawn fast path vs. subprocess.Popen).
+    # Accepted for compatibility, still validated, and select nothing:
+    # every local job takes the one Popen spawn path.
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
-                   help="local process-spawn path: auto (default; posix_spawn "
-                        "where supported), posix, or popen")
-    # Engine extension: shard the local dispatch loop over N spawner
-    # worker processes (lifts the single-dispatcher launch-rate ceiling).
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--dispatchers", default="auto", dest="dispatchers",
                    metavar="auto|N",
-                   help="dispatcher shards for the local backend: auto "
-                        "(default; one in-process dispatcher) or N worker "
-                        "processes fed from one sharded queue; output is "
-                        "byte-identical either way")
-    # Engine extension: spawn/result frame size for sharded dispatch —
-    # the control-plane amortization knob.
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--rpc-batch", default="auto", dest="rpc_batch",
                    metavar="auto|N",
-                   help="records per shard RPC frame with --dispatchers: "
-                        "auto (default; adapts to -j) or N >= 1 "
-                        "(1 = ship every record immediately)")
+                   help="accepted for compatibility; has no effect")
     # Engine extension: in-memory result retention window.
     p.add_argument("--keep-results", default="auto", dest="keep_results",
                    metavar="N|all",

@@ -206,9 +206,7 @@ class Parallel:
         dispatch cap becomes the sum of per-host slots, read off the
         backend (or a fault-injecting wrapper's inner backend).
         """
-        total = getattr(backend, "total_slots", None)
-        if total is None:
-            total = getattr(getattr(backend, "inner", None), "total_slots", None)
+        total = backend.total_slots
         if total is None or total == options.jobs:
             return options
         import dataclasses

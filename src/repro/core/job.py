@@ -115,9 +115,6 @@ class RunSummary:
     #: Data-plane counters for staged (remote) runs — files_staged,
     #: cache_hits, bytes_moved, bytes_staged_avoided; empty for local runs.
     staging: dict = field(default_factory=dict)
-    #: Control-plane counters for sharded runs (frames sent/received,
-    #: jobs per frame, interning); empty for in-process dispatch.
-    rpc: dict = field(default_factory=dict)
     #: Coordinator peak RSS in bytes (VmHWM on Linux, ``getrusage``
     #: elsewhere), stamped at run end; 0 where the probe is unavailable.
     coordinator_rss: int = 0
@@ -216,8 +213,6 @@ class RunSummary:
         }
         if self.staging:
             out["staging"] = dict(self.staging)
-        if self.rpc:
-            out["rpc"] = dict(self.rpc)
         if self.coordinator_rss:
             out["coordinator_rss"] = self.coordinator_rss
         return out

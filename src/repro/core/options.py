@@ -9,10 +9,10 @@ bookkeeping flags (joblog/resume/results) any production use needs:
 ``--tag``/``--tagstring``, ``--shuf``, ``--joblog``, ``--resume``,
 ``--resume-failed``, ``--results``, ``--ungroup``, ``--link``,
 ``--colsep``, ``--load`` (dispatch throttling on system load),
-``--nice`` (applied on POSIX), ``--wd``, ``--linebuffer``, plus the
-engine-specific ``--spawn-path`` selecting the local process-spawn path
-and ``--dispatchers`` sharding the local dispatch loop over N spawner
-worker processes.
+``--nice`` (applied on POSIX), ``--wd``, ``--linebuffer``.  The
+engine-specific ``--spawn-path``, ``--dispatchers`` and ``--rpc-batch``
+are accepted and validated for compatibility but select nothing: every
+local job takes the one spawn path in :mod:`repro.core.backends.local`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "HaltSpec",
     "Options",
     "DEFAULT_JOBS",
-    "DEFAULT_RPC_BATCH",
     "DEFAULT_KEEP_RESULTS",
     "TMPDIR_WORKDIR",
     "parse_jobs",
@@ -38,11 +37,6 @@ __all__ = [
 
 #: GNU Parallel's ``-j`` default is one job per CPU core.
 DEFAULT_JOBS = os.cpu_count() or 1
-
-#: ``--rpc-batch auto`` frame-size cap: big enough to amortize the pipe
-#: wakeup + syscall cost across a dispatch burst, small enough that a
-#: partially filled frame never represents meaningful queued latency.
-DEFAULT_RPC_BATCH = 32
 
 #: ``--keep-results auto`` retention bound: generous for interactive use
 #: (every small/medium run behaves exactly as full retention), while a
@@ -228,24 +222,12 @@ class Options:
     link: bool = False
     #: Working directory for jobs (``--wd``).
     workdir: Optional[str] = None
-    #: Process-spawn path for the local backend (``--spawn-path``):
-    #: ``"auto"`` (posix_spawn fast path when supported, Popen otherwise),
-    #: ``"posix"`` (prefer posix_spawn; hard-unsupported combinations such
-    #: as ``--wd`` still fall back), ``"popen"`` (always Popen).
+    #: Accepted for compatibility and validated, but select nothing:
+    #: every local job takes the one Popen spawn path.  ``--spawn-path``
+    #: is ``auto``, ``posix`` or ``popen``; ``--dispatchers`` and
+    #: ``--rpc-batch`` are ``auto`` or a positive integer.
     spawn_path: str = "auto"
-    #: Dispatcher shard count for the local backend (``--dispatchers``):
-    #: ``"auto"`` (single in-process dispatcher — sharding is opt-in) or
-    #: N >= 1 spawner worker processes fed from one sharded queue.  N > 1
-    #: lifts the single-dispatcher launch-rate ceiling (paper Fig. 3) by
-    #: running N posix_spawn+reaper loops in separate kernel task
-    #: contexts; ordering/joblog/halt merge stays centralized, so output
-    #: is byte-identical to ``--dispatchers 1``.
     dispatchers: Union[int, str] = "auto"
-    #: Spawn/result RPC frame size for sharded dispatch (``--rpc-batch``):
-    #: ``"auto"`` (min(DEFAULT_RPC_BATCH, -j) — frames larger than the
-    #: in-flight window can never fill) or N >= 1 records per frame.
-    #: 1 disables coalescing: every record ships immediately, the PR6
-    #: per-message shape.  Only meaningful with ``--dispatchers`` > 1.
     rpc_batch: Union[int, str] = "auto"
     #: In-memory result retention (``--keep-results``): ``"auto"``
     #: (bounded at DEFAULT_KEEP_RESULTS), ``"all"`` (unbounded — the
@@ -256,8 +238,8 @@ class Options:
     #: Stream each job's stdout line-by-line as it is produced instead of
     #: buffering until the job finishes (``--linebuffer``).  Lines from
     #: different jobs may interleave, but never within a line.  With
-    #: ``--keep-order`` or on the Popen spawn path output stays
-    #: whole-job-buffered (a documented approximation).
+    #: ``--keep-order`` output stays whole-job-buffered (a documented
+    #: approximation).
     linebuffer: bool = False
     #: POSIX niceness applied to spawned processes (``--nice``).
     nice: Optional[int] = None
@@ -461,31 +443,6 @@ class Options:
     def remote(self) -> bool:
         """True when a host roster was given: dispatch goes multi-host."""
         return bool(self.sshlogin or self.sshloginfile)
-
-    def effective_dispatchers(self) -> int:
-        """Resolve ``--dispatchers`` to a shard count.
-
-        ``"auto"`` resolves to 1: the in-process posix_spawn path already
-        runs at ~85% of the per-dispatcher kernel ceiling, so sharding
-        only pays when the workload is launch-rate-bound — an explicit
-        choice, not a default tax on every short run.
-        """
-        if self.dispatchers == "auto":
-            return 1
-        return int(self.dispatchers)
-
-    def effective_rpc_batch(self) -> int:
-        """Resolve ``--rpc-batch`` to a frame size.
-
-        ``"auto"`` adapts to the slot count: with ``-j`` jobs in flight
-        at most ``-j`` spawn records can ever be outstanding, so a larger
-        frame would only ever ship partially filled (after the idle
-        deadline) and buys nothing.
-        """
-        if self.rpc_batch == "auto":
-            jobs = self.jobs if isinstance(self.jobs, int) and self.jobs > 0 else DEFAULT_RPC_BATCH
-            return max(1, min(DEFAULT_RPC_BATCH, jobs))
-        return int(self.rpc_batch)
 
     def effective_keep_results(self) -> Optional[int]:
         """Resolve ``--keep-results``: None = keep everything, else a cap."""

@@ -53,6 +53,8 @@ from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.core.backends.base import Backend
+from repro.core.backends.callable_backend import CallableBackend
+from repro.core.backends.multiprocess import MultiprocessBackend
 from repro.core.inputs import ArgGroup, ceil_div, normalize, shuffled
 from repro.core.job import Job, JobResult, JobState, RunSummary
 from repro.core.joblog import JoblogWriter, completed_seqs
@@ -320,22 +322,11 @@ def run_scheduler(
     # backend does there (e.g. opening persistent remote channels) is
     # itself traced — channel_open spans land in the Chrome trace.
     if tracer is not None:
-        bind_tracer = getattr(backend, "bind_tracer", None)
-        if bind_tracer is not None:
-            bind_tracer(tracer)
+        backend.bind_tracer(tracer)
     # Per-run backend setup: merged environments, process pools, remote
     # control channels — every per-job-invariant cost a backend can hoist
     # off the hot path.
-    prepare_run = getattr(backend, "prepare_run", None)
-    if prepare_run is not None:
-        prepare_run(options)
-    # Command-template interning: sharded backends ship the compiled
-    # template to every dispatcher shard once, so per-job spawn frames
-    # carry only the argument delta (the backend gates on template shape
-    # and no-ops for unsupported forms).
-    intern_hook = getattr(backend, "intern_template", None)
-    if intern_hook is not None and template is not None:
-        intern_hook(template, options)
+    backend.prepare_run(options)
 
     joblog: Optional[JoblogWriter] = None
     skip: set[int] = set()
@@ -403,7 +394,9 @@ def run_scheduler(
         static_command = template.render(("",), seq=0, slot=0).rstrip()
     callable_repr: Optional[str] = None
     if template is None:
-        callable_repr = repr(getattr(backend, "func", backend))
+        func_backends = (CallableBackend, MultiprocessBackend)
+        func = backend.func if isinstance(backend, func_backends) else backend
+        callable_repr = repr(func)
 
     def describe(args: ArgGroup, seq: int, slot: int) -> str:
         if template is not None:
@@ -519,11 +512,7 @@ def run_scheduler(
             retry_depth=lambda: len(retry_q),
             in_flight=lambda: len(in_flight),
         )
-        tracer.run_started(
-            jobs_cap=jobs_cap, total=known_total,
-            dispatchers=getattr(backend, "dispatchers", 1),
-            rpc_batch=getattr(backend, "rpc_batch", 1),
-        )
+        tracer.run_started(jobs_cap=jobs_cap, total=known_total)
 
     # --load / --memfree probes.
     load_probe = options.load_probe or (
@@ -556,14 +545,13 @@ def run_scheduler(
     # the input and handed to the backend's staging lane, so their
     # stage-in overlaps earlier jobs' compute.  Dispatch order is
     # unchanged — the lookahead is a FIFO the dispatch loop drains first.
-    # Dry runs move no data and --pipe rewrites args at dispatch time, so
-    # both stay strictly lazy.
-    prefetch_hook = getattr(backend, "prefetch_job", None)
-    stage_ahead_n = getattr(options, "stage_ahead", 0)
+    # Only a host roster (-S) stages anything; dry runs move no data and
+    # --pipe rewrites args at dispatch time, so all three stay lazy.
+    stage_ahead_n = options.stage_ahead
     lookahead: deque[Job] = deque()
     prefetching = (
-        prefetch_hook is not None
-        and stage_ahead_n > 0
+        stage_ahead_n > 0
+        and options.remote
         and not options.dry_run
         and not options.pipe_mode
     )
@@ -576,7 +564,7 @@ def run_scheduler(
             if job is None:
                 return
             lookahead.append(job)
-            prefetch_hook(job, options)
+            backend.prefetch_job(job, options)
 
     def next_job() -> Optional[Job]:
         """Next dispatchable job: eligible retries first, then fresh input.
@@ -640,9 +628,8 @@ def run_scheduler(
         Keeps completion handling (and thus retry re-queues and halt
         detection) current while fresh input streams through free slots.
         The whole batch is handled per wakeup with a single progress
-        callback at the end — under batched shard RPC, completions arrive
-        frame-at-a-time, and per-item notification would pay the callback
-        cost ``jobs_per_frame`` times per wakeup for no information gain.
+        callback at the end: completions that queued up together would
+        otherwise pay one callback each for no information gain.
         """
         handled = 0
         while not done_q.empty():
@@ -806,18 +793,7 @@ def run_scheduler(
         joblog.close()
     # Data-plane counters (staging cache hits, bytes avoided) land on the
     # summary so both the run report and the tracer's RUN_END carry them.
-    stats_hook = getattr(backend, "staging_stats", None)
-    if stats_hook is not None:
-        staging_stats = stats_hook()
-        if staging_stats:
-            summary.staging = staging_stats
-    # Control-plane counters (frames sent/received, jobs per frame,
-    # interning, failover re-queues) from sharded backends.
-    rpc_hook = getattr(backend, "control_plane_stats", None)
-    if rpc_hook is not None:
-        rpc_stats = rpc_hook()
-        if rpc_stats:
-            summary.rpc = rpc_stats
+    summary.staging = backend.staging_stats()
     summary.coordinator_rss = _coordinator_rss()
     if tracer is not None:
         tracer.run_finished(summary)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from typing import Optional
 
 from repro.core.backends.base import Backend
 from repro.core.job import Job, JobResult, JobState
@@ -99,28 +100,17 @@ class FaultyBackend(Backend):
     def prepare_run(self, options: Options) -> None:
         # Per-run setup (env caches, pools) must reach the real backend
         # even when the fault wrapper sits in between.
-        prepare = getattr(self.inner, "prepare_run", None)
-        if prepare is not None:
-            prepare(options)
+        self.inner.prepare_run(options)
 
     def bind_tracer(self, tracer) -> None:
         # Both layers observe: the wrapper reports injections, the inner
         # backend reports real process spawns/kills.
         super().bind_tracer(tracer)
-        bind = getattr(self.inner, "bind_tracer", None)
-        if bind is not None:
-            bind(tracer)
+        self.inner.bind_tracer(tracer)
 
-    def intern_template(self, template, options: Options) -> None:
-        # Template interning reaches the real (sharded) backend; the
-        # wrapper itself renders nothing.
-        intern = getattr(self.inner, "intern_template", None)
-        if intern is not None:
-            intern(template, options)
-
-    def control_plane_stats(self) -> dict:
-        stats = getattr(self.inner, "control_plane_stats", None)
-        return stats() if stats is not None else {}
+    @property
+    def total_slots(self) -> Optional[int]:
+        return self.inner.total_slots
 
     def cancel_all(self) -> None:
         self._cancelled.set()

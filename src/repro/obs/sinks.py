@@ -144,8 +144,6 @@ class ChromeTraceSink:
         ]
         self._lock = threading.Lock()
         self._meta: dict[str, Any] = {}
-        #: Lane rows already labelled (the base row is named above).
-        self._lanes_named: set[int] = {pid}
         self._closed = False
 
     def handle(self, event: Event) -> None:
@@ -153,27 +151,6 @@ class ChromeTraceSink:
         if out is not None:
             with self._lock:
                 self._events.append(out)
-
-    def _lane_for(self, data: dict[str, Any]) -> int:
-        """Resolve an event's trace-viewer row (``pid`` in Chrome terms).
-
-        Events carrying ``lane``/``lane_name`` in their payload render in
-        their own process row — dispatcher shards each get a labelled
-        lane so the viewer shows per-shard job timelines side by side.
-        ``lane`` is an offset from the sink's base pid, keeping
-        multi-instance traces (distinct real pids) collision-free.
-        """
-        lane = data.pop("lane", None)
-        lane_name = data.pop("lane_name", None)
-        if lane is None:
-            return self.pid
-        row = self.pid + int(lane)
-        if lane_name is not None:
-            with self._lock:
-                if row not in self._lanes_named:
-                    self._lanes_named.add(row)
-                    self._events.append(process_name_event(row, str(lane_name)))
-        return row
 
     def _translate(self, event: Event) -> Optional[dict[str, Any]]:
         kind = event.kind
@@ -218,7 +195,7 @@ class ChromeTraceSink:
                 # Emitters tag their own category (staging spans filter as
                 # their own lane in the viewer); backend is the default.
                 "cat": str(data.pop("cat", "backend")),
-                "pid": self._lane_for(data),
+                "pid": self.pid,
                 "tid": event.slot,
                 "ts": _us(event.ts),
                 "dur": max(0.0, _us(dur) if dur else 0.0),
@@ -230,7 +207,7 @@ class ChromeTraceSink:
                 "ph": "i",
                 "name": event.name,
                 "cat": str(data.pop("cat", "backend")),
-                "pid": self._lane_for(data),
+                "pid": self.pid,
                 "tid": event.slot,
                 "ts": _us(event.ts),
                 "s": "t" if event.slot else "p",

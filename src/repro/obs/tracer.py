@@ -142,19 +142,6 @@ class RunTracer:
             staging = getattr(summary, "staging", None)
             if staging:
                 data["staging"] = dict(staging)
-            # Control-plane block: frame counts and jobs-per-frame show
-            # how well batched shard RPC amortized — rpc_frames in the
-            # trace is the direct counterpart of the per-shard rpc_frame
-            # instants scattered along the timeline.
-            rpc = getattr(summary, "rpc", None)
-            if rpc:
-                data["rpc"] = dict(rpc)
-                frames = rpc.get("frames_sent")
-                if frames is not None:
-                    data["rpc_frames"] = frames
-                jpf = rpc.get("jobs_per_frame")
-                if jpf is not None:
-                    data["jobs_per_frame"] = jpf
             rss = getattr(summary, "coordinator_rss", 0)
             if rss:
                 data["coordinator_rss"] = rss

@@ -196,7 +196,7 @@ class RemoteBackend(Backend):
 
     # -- run lifecycle -------------------------------------------------------
     def prepare_run(self, options: Options) -> None:
-        self.ban_after = getattr(options, "ban_after", self.ban_after)
+        self.ban_after = options.ban_after
         self.pool = HostPool(self._hosts, ban_after=self.ban_after)
         self.staging = StagingPolicy.from_options(options)
         self._staging_opts = options
@@ -213,7 +213,7 @@ class RemoteBackend(Backend):
         if self._lane is not None:
             self._lane.close()
             self._lane = None
-        stage_ahead = getattr(options, "stage_ahead", 0)
+        stage_ahead = options.stage_ahead
         remote_hosts = [h for h in self._hosts if not h.is_local]
         if stage_ahead > 0 and self.staging.active and remote_hosts:
             self._lane = _StagingLane(

@@ -100,7 +100,7 @@ class StagingPolicy:
             basefiles=list(options.basefiles),
             cleanup=options.cleanup,
             workdir=options.workdir,
-            cache=StagingCache() if getattr(options, "staging_cache", True) else None,
+            cache=StagingCache() if options.staging_cache else None,
         )
 
     @property

@@ -34,28 +34,25 @@ long-lived control session per host, opened once per run by the remote
 backend.  A channel keeps every Transport method signature (including
 the ``host`` parameter), so staging code drives a channel and a bare
 transport interchangeably; what changes is the cost model: per-host
-session state (merged environment, spawn machinery, simulated connect
-latency) is paid at :meth:`~Transport.open_channel` instead of per job.
-The base :class:`Channel` simply delegates to its transport — wrapper
-transports (fault injection) inherit that and keep intercepting.
+session state (simulated connect latency) is paid at
+:meth:`~Transport.open_channel` instead of per job.  The base
+:class:`Channel` simply delegates to its transport — wrapper transports
+(fault injection) inherit that and keep intercepting, and
+:class:`LocalTransport` runs every job through the local backend's one
+spawn path (:class:`~repro.core.backends.local.ProcessGroups`).
 """
 
 from __future__ import annotations
 
-import locale
 import os
 import shutil
-import signal
-import subprocess
 import tempfile
 import threading
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.backends.reaper import PipeReaper
-from repro.core.backends.spawn import SpawnLauncher, spawn_supported, wrap_chdir
+from repro.core.backends.local import ProcessGroups, merged_env
 from repro.core.options import TMPDIR_WORKDIR
 from repro.errors import StagingError, TransportError
 from repro.remote.hosts import HostSpec
@@ -205,35 +202,17 @@ class LocalTransport(Transport):
         self._root = root
         self._own_root = root is None
         self._run_id = uuid.uuid4().hex[:8]
-        #: In-flight process pids (Popen path and channel spawn path both
-        #: register here so ``cancel_all`` covers everything).
-        self._procs: dict[int, object] = {}
+        #: In-flight jobs, each the leader of its own process group.
+        self._groups = ProcessGroups()
         self._lock = threading.Lock()
-        self._cancelled = threading.Event()
         self._tmp_workdirs: list[str] = []
-        #: Shared pipe reaper serving every channel's spawn path; created
-        #: lazily, replaced if a previous run closed it.
-        self._reaper: Optional[PipeReaper] = None
 
     def open_channel(self, host: HostSpec) -> "Channel":
-        """A persistent session: env merged once, posix_spawn + shared reaper."""
-        return _LocalChannel(self, host)
-
-    def _reaper_for(self) -> PipeReaper:
-        with self._lock:
-            if self._reaper is None or self._reaper.closed or not self._reaper.alive:
-                self._reaper = PipeReaper()
-            return self._reaper
-
-    def _track(self, pid: int) -> bool:
-        """Register an in-flight pid; returns True when a cancel raced in."""
-        with self._lock:
-            self._procs[pid] = pid
-            return self._cancelled.is_set()
-
-    def _untrack(self, pid: int) -> None:
-        with self._lock:
-            self._procs.pop(pid, None)
+        # The base delegating channel: a local session has no per-host
+        # state to amortize.  Defined here, not inherited, so the
+        # enginebench layer timer (which wraps LocalTransport.open_channel)
+        # still times each channel's execute/put/get.
+        return Channel(self, host)
 
     # -- roots and workdirs ------------------------------------------------
     def _ensure_root(self) -> str:
@@ -286,46 +265,23 @@ class LocalTransport(Transport):
         seq: int = 0,
         attempt: int = 1,
     ) -> ExecResult:
-        if self._cancelled.is_set():
+        if self._groups.cancelled.is_set():
             return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
-        run_env = None
-        if env:
-            run_env = dict(os.environ)
-            run_env.update(env)
-        start = time.time()
         try:
-            proc = subprocess.Popen(
-                [self.shell, "-c", command],
-                stdin=subprocess.PIPE if stdin is not None else subprocess.DEVNULL,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                cwd=workdir,
-                env=run_env,
-                text=True,
-                start_new_session=(os.name == "posix"),
+            done = self._groups.run(
+                [self.shell, "-c", command], cwd=workdir, env=merged_env(env),
+                stdin=stdin, timeout=timeout,
             )
         except OSError as exc:
             raise TransportError(
                 f"spawn failed on {host.name!r}: {exc}", phase="execute"
             ) from None
-        if self._track(proc.pid):
-            self._kill_group(proc.pid)
-        timed_out = False
-        try:
-            try:
-                stdout, stderr = proc.communicate(input=stdin, timeout=timeout)
-            except subprocess.TimeoutExpired:
-                self._kill_group(proc.pid)
-                stdout, stderr = proc.communicate()
-                timed_out = True
-        finally:
-            self._untrack(proc.pid)
         return ExecResult(
-            exit_code=proc.returncode,
-            stdout=stdout,
-            stderr=stderr,
-            timed_out=timed_out,
-            duration=time.time() - start,
+            exit_code=done.returncode,
+            stdout=done.stdout,
+            stderr=done.stderr,
+            timed_out=done.timed_out,
+            duration=done.end - done.start,
         )
 
     # -- staging -----------------------------------------------------------
@@ -358,21 +314,7 @@ class LocalTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
     def cancel_all(self) -> None:
-        self._cancelled.set()
-        with self._lock:
-            pids = list(self._procs)
-        for pid in pids:
-            self._kill_group(pid)
-
-    @staticmethod
-    def _kill_group(pid: int) -> None:
-        try:
-            if os.name == "posix":
-                os.killpg(pid, signal.SIGTERM)
-            else:  # pragma: no cover - non-posix fallback
-                os.kill(pid, signal.SIGTERM)
-        except (ProcessLookupError, PermissionError):
-            pass
+        self._groups.cancel_all()
 
     def close(self) -> None:
         self.cancel_all()
@@ -381,124 +323,11 @@ class LocalTransport(Transport):
             root, own = self._root, self._own_root
             if own:
                 self._root = None
-            reaper, self._reaper = self._reaper, None
-        if reaper is not None:
-            reaper.close()
         for path in tmp_workdirs:
             shutil.rmtree(path, ignore_errors=True)
         if own and root is not None:
             shutil.rmtree(root, ignore_errors=True)
-        self._cancelled = threading.Event()
-
-
-class _LocalChannel(Channel):
-    """A persistent local "ssh session": the per-job costs a real control
-    master amortizes — environment assembly, connection/session setup —
-    are paid once here, and per-job execution takes the posix_spawn +
-    shared-reaper fast path (``cd`` is done by the spawned shell, since
-    ``posix_spawn`` has no working-directory attribute).
-
-    Falls back to the transport's Popen path per call when the job needs
-    stdin (``--pipe``), the platform lacks posix_spawn support, or the
-    shared reaper has failed.
-    """
-
-    def __init__(self, transport: "LocalTransport", host: HostSpec):
-        super().__init__(transport, host)
-        self._launcher: Optional[SpawnLauncher] = None
-        #: The ``env`` mapping the launcher's merged vector was built from
-        #: (compared with ``is`` — it is per-run constant ``options.env``).
-        self._env_src: Optional[dict[str, str]] = None
-        self._encoding = locale.getpreferredencoding(False)
-
-    def _launcher_for(self, env: Optional[dict[str, str]]) -> SpawnLauncher:
-        if self._launcher is None or env is not self._env_src:
-            if self._launcher is not None:
-                self._launcher.close()
-            merged = None
-            if env:
-                merged = dict(os.environ)
-                merged.update(env)
-            self._launcher = SpawnLauncher(self.transport.shell, env=merged)
-            self._env_src = env
-        return self._launcher
-
-    def execute(
-        self,
-        host: HostSpec,
-        command: str,
-        *,
-        workdir: str,
-        stdin: Optional[str] = None,
-        env: Optional[dict[str, str]] = None,
-        timeout: Optional[float] = None,
-        seq: int = 0,
-        attempt: int = 1,
-    ) -> ExecResult:
-        transport = self.transport
-        if stdin is not None or not spawn_supported():
-            return super().execute(
-                host, command, workdir=workdir, stdin=stdin, env=env,
-                timeout=timeout, seq=seq, attempt=attempt,
-            )
-        if transport._cancelled.is_set():
-            return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
-        reaper = transport._reaper_for()
-        launcher = self._launcher_for(env)
-        start = time.time()
-        try:
-            pid, out_r, err_r = launcher.spawn(wrap_chdir(workdir, command))
-        except OSError as exc:
-            raise TransportError(
-                f"spawn failed on {self.host.name!r}: {exc}", phase="execute"
-            ) from None
-        try:
-            handle = reaper.register(pid, out_r, err_r, encoding=self._encoding)
-        except RuntimeError:
-            # The reaper closed under us; the process already started, so
-            # collect it inline rather than re-running its side effects.
-            os.close(out_r)
-            os.close(err_r)
-            _, status = os.waitpid(pid, 0)
-            return ExecResult(
-                exit_code=os.waitstatus_to_exitcode(status),
-                stderr="reaper shut down mid-run",
-                duration=time.time() - start,
-            )
-        if transport._track(pid):
-            transport._kill_group(pid)
-        timed_out = False
-        try:
-            if not handle.wait(timeout):
-                transport._kill_group(pid)
-                handle.wait()
-                timed_out = True
-        finally:
-            transport._untrack(pid)
-        stdout = _decode_universal(bytes(handle.stdout_buf), self._encoding)
-        stderr = _decode_universal(bytes(handle.stderr_buf), self._encoding)
-        return ExecResult(
-            exit_code=handle.returncode if handle.returncode is not None else -1,
-            stdout=stdout,
-            stderr=stderr,
-            timed_out=timed_out,
-            duration=time.time() - start,
-        )
-
-    def close(self) -> None:
-        if self._launcher is not None:
-            self._launcher.close()
-            self._launcher = None
-            self._env_src = None
-
-
-def _decode_universal(data: bytes, encoding: str) -> str:
-    """Decode captured output with ``Popen(text=True)`` parity (strict
-    errors, universal newlines)."""
-    text = data.decode(encoding)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+        self._groups = ProcessGroups()
 
 
 class SimTransport(Transport):

@@ -48,9 +48,9 @@ def run_gnu_parallel(args, stdin=None, timeout=60):
     )
 
 
-#: Every conformance case runs once per spawn path: the posix_spawn fast
-#: path ("auto" resolves to it where supported) and the Popen reference
-#: path must be behaviourally indistinguishable at the CLI boundary.
+#: Every conformance case runs with the default and with ``--spawn-path
+#: popen``: the flag is accepted for compatibility but selects nothing,
+#: so both legs must meet the same expectations at the CLI boundary.
 SPAWN_PATHS = ("auto", "popen")
 
 

@@ -95,11 +95,10 @@ def test_tagstring_implies_tag():
 
 
 def test_dispatchers_accepts_auto_and_counts():
+    # Accepted for compatibility (it selects nothing); counts normalize.
     assert Options().dispatchers == "auto"
-    assert Options(dispatchers=2).effective_dispatchers() == 2
-    assert Options(dispatchers=" 8 ").effective_dispatchers() == 8
-    # auto = one in-process dispatcher; sharding is opt-in.
-    assert Options(dispatchers="auto").effective_dispatchers() == 1
+    assert Options(dispatchers=2).dispatchers == 2
+    assert Options(dispatchers=" 8 ").dispatchers == 8
 
 
 def test_dispatchers_rejects_bad_forms():
@@ -109,13 +108,10 @@ def test_dispatchers_rejects_bad_forms():
 
 
 def test_rpc_batch_accepts_auto_and_counts():
+    # Accepted for compatibility (it selects nothing); counts normalize.
     assert Options().rpc_batch == "auto"
-    assert Options(rpc_batch=8).effective_rpc_batch() == 8
-    assert Options(rpc_batch="16").effective_rpc_batch() == 16
-    # auto scales with the in-flight window: frames larger than the slot
-    # count can never fill, so small -j keeps frames small.
-    assert Options(rpc_batch="auto", jobs=4).effective_rpc_batch() == 4
-    assert Options(rpc_batch="auto", jobs=500).effective_rpc_batch() == 32
+    assert Options(rpc_batch=8).rpc_batch == 8
+    assert Options(rpc_batch="16").rpc_batch == 16
 
 
 def test_rpc_batch_rejects_bad_forms():

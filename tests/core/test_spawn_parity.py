@@ -1,35 +1,32 @@
-"""Spawn-path parity: posix and popen must be byte-for-byte identical.
+"""One local spawn path, pinned to literal expected output.
 
-The posix_spawn fast path (see ``repro.core.backends.spawn``) is a pure
-latency optimisation — every user-visible behaviour (``--keep-order``
-ordering, ``--tag`` prefixes, exit codes, stderr routing, timeout kills)
-must match the Popen reference path exactly.  These tests run the same
-workload through both paths and diff the collected output.
+Every local job starts the same way (``repro.core.backends.local``).
+``--spawn-path``, ``--dispatchers`` and ``--rpc-batch`` are still
+accepted for compatibility but select nothing, so every value of them
+must reproduce the same literal byte stream: ``--keep-order`` ordering,
+``--tag`` prefixes, exit codes, stderr routing, timeout kills, ``--joblog``
+rows and ``--halt`` outcomes.
 
-The cross-shard matrix at the bottom extends the same contract to
-``--dispatchers N``: sharding the dispatch loop over worker processes is
-also a pure throughput device, so every (dispatchers, spawn-path) cell
-must reproduce the single-dispatcher byte stream exactly — including
-``--joblog`` rows, ``--tag`` prefixes and ``--halt`` outcomes.
+``--linebuffer`` streams on every local run — including ``--wd`` and
+``--pipe`` — so a line reaches ``output=`` while its job still runs.
 """
+
+import time
 
 import pytest
 
 from repro import Parallel
-from repro.core.backends.local import LocalShellBackend
-from repro.core.backends.spawn import spawn_supported
 from repro.core.joblog import read_joblog
-from repro.core.options import Options
 
-pytestmark = pytest.mark.skipif(
-    not spawn_supported(), reason="posix_spawn unavailable on this platform"
-)
-
-PATHS = ("posix", "popen")
-#: Shard counts for the cross-shard parity matrix (1 = the baseline
-#: in-process dispatcher every other cell must match byte-for-byte).
+#: Every accepted ``--spawn-path`` value; none may change the output.
+PATHS = ("auto", "posix", "popen")
+#: Shard counts and frame sizes: accepted, and equally inert.
 DISPATCHERS = (1, 2, 4)
 MATRIX_PATHS = ("auto", "popen")
+RPC_BATCHES = (1, 8, 64)
+
+#: A workload exercising stdout, stderr and mixed exit codes at once.
+MIXED_CMD = "sh -c 'echo out-{}; echo err-{} >&2; exit $(( {} % 2 ))'"
 
 
 def run_collect(command, inputs, **option_fields):
@@ -42,66 +39,61 @@ def run_collect(command, inputs, **option_fields):
     return summary, "".join(chunks)
 
 
-# ----------------------------------------------------------------- routing
-def test_spawn_path_routing_matrix():
-    backend = LocalShellBackend()
-    try:
-        backend.prepare_run(Options(spawn_path="posix"))
-        assert backend.spawn_path == "posix"
-        backend.prepare_run(Options(spawn_path="popen"))
-        assert backend.spawn_path == "popen"
-        # auto picks posix where supported...
-        backend.prepare_run(Options(spawn_path="auto"))
-        assert backend.spawn_path == "posix"
-        # ...but --wd needs a child cwd, which posix_spawn cannot set.
-        backend.prepare_run(Options(spawn_path="auto", workdir="."))
-        assert backend.spawn_path == "popen"
-    finally:
-        backend.close()
+def _prefix(flags, seq):
+    """The line prefix ``--tag`` / ``--tagstring '[{#}]'`` give input ``seq``."""
+    if flags.get("tagstring"):
+        return f"[{seq}]\t"
+    if flags.get("tag"):
+        return f"{seq}\t"
+    return ""
 
 
-# ------------------------------------------------------------ output parity
-@pytest.mark.parametrize(
-    "flags",
-    [
-        {"keep_order": True},
-        {"keep_order": True, "tag": True},
-        {"keep_order": True, "tagstring": "[{#}]"},
-    ],
-    ids=["keep-order", "keep-order+tag", "keep-order+tagstring"],
-)
+FLAG_SETS = [
+    {"keep_order": True},
+    {"keep_order": True, "tag": True},
+    {"keep_order": True, "tagstring": "[{#}]"},
+]
+FLAG_IDS = ["keep-order", "keep-order+tag", "keep-order+tagstring"]
+
+
+# ---------------------------------------------------------- formatted output
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=FLAG_IDS)
 def test_formatted_output_identical_across_paths(flags):
-    outputs = {}
+    expected = "".join(
+        f"{_prefix(flags, i)}one-{i}\n{_prefix(flags, i)}two-{i}\n"
+        for i in range(1, 9)
+    )
     for path in PATHS:
         summary, text = run_collect(
             "printf '%s\\n%s\\n' one-{} two-{}", range(1, 9),
             jobs=4, spawn_path=path, **flags,
         )
         assert summary.ok
-        outputs[path] = text
-    assert outputs["posix"] == outputs["popen"]
-    assert "one-3" in outputs["posix"] and "two-8" in outputs["posix"]
+        assert text == expected, f"--spawn-path {path}"
 
 
 def test_tag_without_keep_order_same_line_set():
     # Completion order is scheduling-dependent, so compare the sorted
     # line multiset instead of the byte stream.
-    lines = {}
+    expected = sorted(f"{i}\t{i}" for i in range(1, 13))
     for path in PATHS:
         summary, text = run_collect(
             "echo {}", range(1, 13), jobs=4, tag=True, spawn_path=path
         )
         assert summary.ok
-        lines[path] = sorted(text.splitlines())
-    assert lines["posix"] == lines["popen"]
+        assert sorted(text.splitlines()) == expected, f"--spawn-path {path}"
+
+
+def _mixed_rows(n):
+    """(seq, exit code, stdout, stderr) for MIXED_CMD over inputs 1..n."""
+    return [(i, i % 2, f"out-{i}\n", f"err-{i}\n") for i in range(1, n + 1)]
 
 
 def test_exit_codes_and_stderr_identical_across_paths():
-    per_path = {}
     for path in PATHS:
         rows = []
         engine = Parallel(
-            "sh -c 'echo out-{}; echo err-{} >&2; exit $(( {} % 2 ))'",
+            MIXED_CMD,
             output=lambda res, text: rows.append(
                 (res.seq, res.exit_code, text, res.stderr)
             ),
@@ -109,39 +101,36 @@ def test_exit_codes_and_stderr_identical_across_paths():
         )
         summary = engine.run(range(1, 7))
         assert summary.n_failed == 3  # odd seqs exit 1
-        per_path[path] = rows
-    assert per_path["posix"] == per_path["popen"]
+        assert rows == _mixed_rows(6), f"--spawn-path {path}"
 
 
 def test_timeout_kill_identical_across_paths():
-    states = {}
     for path in PATHS:
-        summary, _text = run_collect(
+        summary, text = run_collect(
             "sh -c 'sleep 5; echo late-{}'", [1, 2],
             jobs=2, timeout=0.2, spawn_path=path,
         )
         assert not summary.ok
-        states[path] = sorted(
-            (r.seq, r.state.value, r.stdout) for r in summary.results
-        )
-    assert states["posix"] == states["popen"]
+        assert text == ""
+        # The group gets SIGTERM: the shell dies before it can echo.
+        assert sorted(
+            (r.seq, r.state.value, r.stdout, r.exit_code)
+            for r in summary.results
+        ) == [(1, "timed_out", "", -15), (2, "timed_out", "", -15)]
 
 
-# ------------------------------------------------------- cross-shard matrix
-#: A workload exercising stdout, stderr and mixed exit codes at once.
-MIXED_CMD = "sh -c 'echo out-{}; echo err-{} >&2; exit $(( {} % 2 ))'"
-
-
+# ------------------------------------------- --dispatchers / --rpc-batch
 def _stable_joblog_rows(path):
-    """Joblog reduced to its run-invariant columns, in seq order.
-
-    Start times and runtimes are wall-clock (volatile across runs by
-    definition); seq, exit status, signal and the rendered command are
-    the contract the matrix pins.
-    """
+    """Joblog reduced to its run-invariant columns, in seq order."""
     return sorted(
         (e.seq, e.exitval, e.signal, e.command) for e in read_joblog(path)
     )
+
+
+def _expected_joblog(n):
+    return [
+        (i, i % 2, 0, MIXED_CMD.replace("{}", str(i))) for i in range(1, n + 1)
+    ]
 
 
 def _matrix_cell(n_disp, path, tmp_path, flags):
@@ -164,26 +153,23 @@ def _matrix_cell(n_disp, path, tmp_path, flags):
     }
 
 
+def _expected_rows(flags):
+    return [
+        (seq, code, _prefix(flags, seq) + out, err)
+        for seq, code, out, err in _mixed_rows(8)
+    ]
+
+
 @pytest.mark.parametrize("path", MATRIX_PATHS)
-@pytest.mark.parametrize(
-    "flags",
-    [
-        {"keep_order": True},
-        {"keep_order": True, "tag": True},
-        {"keep_order": True, "tagstring": "[{#}]"},
-    ],
-    ids=["keep-order", "keep-order+tag", "keep-order+tagstring"],
-)
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=FLAG_IDS)
 def test_dispatcher_matrix_byte_identical(tmp_path, path, flags):
-    baseline = _matrix_cell(1, path, tmp_path, flags)
-    assert baseline["n_failed"] == 4  # odd seqs exit 1
-    for n_disp in DISPATCHERS[1:]:
+    for n_disp in DISPATCHERS:
         cell = _matrix_cell(n_disp, path, tmp_path, flags)
-        assert cell["rows"] == baseline["rows"], (
+        assert cell["rows"] == _expected_rows(flags), (
             f"--dispatchers {n_disp} --spawn-path {path} diverged"
         )
-        assert cell["n_failed"] == baseline["n_failed"]
-        assert cell["joblog"] == baseline["joblog"]
+        assert cell["n_failed"] == 4  # odd seqs exit 1
+        assert cell["joblog"] == _expected_joblog(8)
 
 
 @pytest.mark.parametrize("n_disp", DISPATCHERS)
@@ -209,60 +195,73 @@ def test_dispatcher_matrix_halt_now_fail(tmp_path, n_disp, path):
     ]
 
 
-#: Frame sizes for the rpc-batch parity matrix.  1 = per-job messages
-#: (the pre-batching wire shape every other cell must reproduce).
-RPC_BATCHES = (1, 8, 64)
-
-
 @pytest.mark.parametrize("rpc_batch", RPC_BATCHES)
 def test_rpc_batch_matrix_byte_identical(tmp_path, rpc_batch):
-    """Frame batching is a pure wire optimisation: every (rpc_batch,
-    dispatchers) cell must reproduce the unbatched single-dispatcher
-    byte stream — output rows, failure counts and sealed joblog alike.
-    """
-    flags = {"keep_order": True, "tag": True}
-    baseline = _matrix_cell(1, "auto", tmp_path, {**flags, "rpc_batch": 1})
-    assert baseline["n_failed"] == 4
+    flags = {"keep_order": True, "tag": True, "rpc_batch": rpc_batch}
     for n_disp in DISPATCHERS:
-        cell = _matrix_cell(
-            n_disp, "auto", tmp_path, {**flags, "rpc_batch": rpc_batch}
-        )
-        assert cell["rows"] == baseline["rows"], (
+        cell = _matrix_cell(n_disp, "auto", tmp_path, flags)
+        assert cell["rows"] == _expected_rows(flags), (
             f"--rpc-batch {rpc_batch} --dispatchers {n_disp} diverged"
         )
-        assert cell["n_failed"] == baseline["n_failed"]
-        assert cell["joblog"] == baseline["joblog"]
+        assert cell["n_failed"] == 4
+        assert cell["joblog"] == _expected_joblog(8)
 
 
 def test_rpc_batch_auto_matches_explicit(tmp_path):
-    # The "auto" frame-size heuristic must be invisible in the output.
     flags = {"keep_order": True}
     auto = _matrix_cell(2, "auto", tmp_path, {**flags, "rpc_batch": "auto"})
     explicit = _matrix_cell(2, "auto", tmp_path, {**flags, "rpc_batch": 8})
-    assert auto["rows"] == explicit["rows"]
-    assert auto["joblog"] == explicit["joblog"]
+    assert auto["rows"] == explicit["rows"] == _expected_rows(flags)
+    assert auto["joblog"] == explicit["joblog"] == _expected_joblog(8)
 
 
-def test_dispatchers_resolution_matrix():
-    backend = LocalShellBackend()
-    try:
-        backend.prepare_run(Options(dispatchers=2))
-        assert backend.dispatchers == 2
-        assert backend.spawn_path == "posix"
-        # popen inside the workers is still sharded dispatch.
-        backend.prepare_run(Options(dispatchers=2, spawn_path="popen"))
-        assert backend.dispatchers == 2
-        assert backend.spawn_path == "popen"
-        # auto = one in-process dispatcher (sharding is opt-in)...
-        backend.prepare_run(Options(dispatchers="auto"))
-        assert backend.dispatchers == 1
-        # ...and unsupported combinations resolve back to one.
-        for unsupported in (
-            Options(dispatchers=2, workdir="."),
-            Options(dispatchers=2, linebuffer=True),
-            Options(dispatchers=2, pipe_mode=True),
-        ):
-            backend.prepare_run(unsupported)
-            assert backend.dispatchers == 1
-    finally:
-        backend.close()
+# --------------------------------------------------------------- --linebuffer
+@pytest.mark.parametrize(
+    "leg", ["default", "workdir", "pipe"],
+)
+def test_linebuffer_line_arrives_before_job_ends(leg):
+    """``first`` reaches ``output=`` while the job still sleeps."""
+    arrivals = []
+    engine = Parallel(
+        "echo first; sleep 1; echo second",
+        output=lambda _res, text: arrivals.append((time.time(), text)),
+        jobs=1, linebuffer=True,
+        **({"workdir": "."} if leg == "workdir" else {}),
+    )
+    if leg == "pipe":
+        summary = engine.pipe("x\n", n_records=1)
+    else:
+        summary = engine.run(["x"])
+    assert summary.ok
+    end = summary.results[0].end_time
+    first_at = next(t for t, text in arrivals if "first" in text)
+    assert first_at <= end - 0.5, f"first line came {end - first_at:.2f}s early"
+    streamed = "".join(text for _t, text in arrivals)
+    assert streamed.startswith("first\nsecond")
+
+
+def test_linebuffer_honours_timeout():
+    arrivals = []
+    summary = Parallel(
+        "echo first {}; sleep 5",
+        output=lambda _res, text: arrivals.append(text),
+        jobs=1, linebuffer=True, timeout=0.5,
+    ).run(["x"])
+    [result] = summary.results
+    assert result.state.value == "timed_out"
+    assert result.runtime < 3
+    assert arrivals and arrivals[0].startswith("first")
+
+
+def test_linebuffer_pipe_streams_a_large_block_through():
+    # More than a pipe buffer each way: stdin is written while stdout is
+    # read, so neither side can stall the other.
+    text = "".join(f"line-{i:06d}\n" for i in range(20_000))
+    chunks = []
+    summary = Parallel(
+        "cat", output=lambda _res, chunk: chunks.append(chunk),
+        jobs=1, linebuffer=True,
+    ).pipe(text, n_records=20_000)
+    assert summary.ok
+    assert "".join(chunks) == text
+    assert summary.results[0].stdout == text
